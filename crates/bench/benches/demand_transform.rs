@@ -1,4 +1,4 @@
-//! E19: demand-driven derivation — off vs prune vs magic.
+//! E19: demand-driven derivation — off vs magic.
 //!
 //! Three workloads, each evaluated under every [`Demand`] setting so
 //! `BENCH_datalog.json` records what the transformation buys (or costs):
@@ -28,11 +28,7 @@ use cqa_db::instance::DatabaseInstance;
 use cqa_solver::prelude::*;
 use cqa_workloads::random::{shared_prefix_families, LayeredConfig};
 
-const MODES: [(&str, Demand); 3] = [
-    ("off", Demand::Off),
-    ("prune", Demand::Prune),
-    ("magic", Demand::Magic),
-];
+const MODES: [(&str, Demand); 2] = [("off", Demand::Off), ("magic", Demand::Magic)];
 
 /// Largest prefix instance; `CQA_BENCH_MAX_FACTS` caps it so the CI smoke
 /// run stays at ~10^3 facts.

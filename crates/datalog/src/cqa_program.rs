@@ -389,14 +389,11 @@ mod tests {
     #[test]
     fn demand_transformed_programs_stay_safe_and_stratified() {
         for word in ["RRX", "UVUVWV", "RXRX", "RR"] {
-            for demand in [Demand::Prune, Demand::Magic] {
-                let cqa = program_for_mode(word, demand);
-                assert!(cqa.program.is_safe(), "{word}: unsafe");
-                assert!(stratify(&cqa.program).is_ok(), "{word}: not stratified");
-            }
+            let cqa = program_for_mode(word, Demand::Magic);
+            assert!(cqa.program.is_safe(), "{word}: unsafe");
+            assert!(stratify(&cqa.program).is_ok(), "{word}: not stratified");
             // The magic rewrite genuinely restricts the recursion: uvpath is
             // seeded from the spine's endpoints instead of derived in full.
-            let cqa = program_for_mode(word, Demand::Magic);
             assert!(
                 cqa.demand.restricted_predicates >= 1,
                 "{word}: nothing restricted"

@@ -5,11 +5,12 @@
 //! This module rewrites a program so that evaluation derives (a superset of)
 //! exactly what the goal needs, in two stages:
 //!
-//! 1. **Reachability pruning** ([`DemandMode::Prune`]): drop every rule whose
-//!    head predicate the goal cannot reach in the dependency graph (following
-//!    positive *and* negative body edges). Unreachable predicates cannot
-//!    influence the goal's fixpoint in any stratum, so this is answer-
-//!    preserving on the goal for arbitrary stratified programs.
+//! 1. **Reachability pruning**: drop every rule whose head predicate the goal
+//!    cannot reach in the dependency graph (following positive *and*
+//!    negative body edges). Unreachable predicates cannot influence the
+//!    goal's fixpoint in any stratum, so this is answer-preserving on the
+//!    goal for arbitrary stratified programs. It always runs first, and is
+//!    what [`DemandMode::Magic`] falls back to when stage 2 cannot apply.
 //!
 //! 2. **Magic-sets / sideways information passing** ([`DemandMode::Magic`]):
 //!    restrict eligible predicates to the tuples actually *demanded* by some
@@ -91,17 +92,15 @@ use crate::stratify::stratify;
 /// program generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Demand {
-    /// Defer to the `PATH_CQA_DEMAND` environment variable (`off`, `prune`
-    /// or `magic`); when unset, use the built-in default
-    /// ([`DemandMode::Magic`]). Like [`crate::parallel::Threads::Auto`] this
-    /// is resolved once per process — set the variable before the first
-    /// evaluation.
+    /// Defer to the `PATH_CQA_DEMAND` environment variable: `off` (or `0`)
+    /// disables the transformation; any other value — including unset and
+    /// the retired `prune` — resolves to [`DemandMode::Magic`]. Like
+    /// [`crate::parallel::Threads::Auto`] this is resolved once per process
+    /// — set the variable before the first evaluation.
     #[default]
     Auto,
     /// No transformation: evaluate the program as written.
     Off,
-    /// Stage 1 only: goal-reachability pruning.
-    Prune,
     /// Stages 1 + 2: pruning, then the magic-sets rewrite.
     Magic,
 }
@@ -111,8 +110,6 @@ pub enum Demand {
 pub enum DemandMode {
     /// No transformation.
     Off,
-    /// Goal-reachability pruning only.
-    Prune,
     /// Pruning plus the magic-sets rewrite.
     Magic,
 }
@@ -121,7 +118,6 @@ impl std::fmt::Display for DemandMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             DemandMode::Off => "off",
-            DemandMode::Prune => "prune",
             DemandMode::Magic => "magic",
         })
     }
@@ -132,13 +128,11 @@ impl Demand {
     pub fn resolve(self) -> DemandMode {
         match self {
             Demand::Off => DemandMode::Off,
-            Demand::Prune => DemandMode::Prune,
             Demand::Magic => DemandMode::Magic,
             Demand::Auto => {
                 static AUTO: OnceLock<DemandMode> = OnceLock::new();
                 *AUTO.get_or_init(|| match std::env::var("PATH_CQA_DEMAND").as_deref() {
                     Ok("off") | Ok("0") => DemandMode::Off,
-                    Ok("prune") => DemandMode::Prune,
                     _ => DemandMode::Magic,
                 })
             }
@@ -157,7 +151,7 @@ pub struct DemandReport {
     /// Predicates the magic stage restricted behind a demand guard.
     pub restricted_predicates: u64,
     /// `magic$…` rules emitted (0 when the magic stage did not apply — mode
-    /// below [`DemandMode::Magic`], nothing restrictable, or the defensive
+    /// [`DemandMode::Off`], nothing restrictable, or the defensive
     /// stratification fallback).
     pub magic_rules: u64,
 }
@@ -475,9 +469,6 @@ pub fn transform(program: &Program, goal: Predicate, mode: DemandMode) -> (Progr
         predicates_pruned,
         ..DemandReport::default()
     };
-    if mode == DemandMode::Prune {
-        return (pruned, report);
-    }
     match magic(&pruned, goal) {
         Some((transformed, restricted, magic_rules)) => {
             report.restricted_predicates = restricted;
@@ -572,7 +563,6 @@ mod tests {
     #[test]
     fn resolve_maps_fixed_variants() {
         assert_eq!(Demand::Off.resolve(), DemandMode::Off);
-        assert_eq!(Demand::Prune.resolve(), DemandMode::Prune);
         assert_eq!(Demand::Magic.resolve(), DemandMode::Magic);
     }
 
@@ -587,9 +577,9 @@ mod tests {
     #[test]
     fn prune_drops_the_island_and_nothing_else() {
         let p = seeded_tc_with_island();
-        let (t, report) = transform(&p, Predicate::new("goal", 1), DemandMode::Prune);
-        assert_eq!(report.rules_pruned, 2);
-        assert_eq!(report.predicates_pruned, 1);
+        let (t, rules_pruned, predicates_pruned) = prune(&p, Predicate::new("goal", 1));
+        assert_eq!(rules_pruned, 2);
+        assert_eq!(predicates_pruned, 1);
         assert_eq!(t.rules.len(), 3);
         assert!(t.to_string().contains("path"));
         assert!(!t.to_string().contains("island"));
@@ -772,7 +762,7 @@ mod tests {
     #[test]
     fn transformed_programs_stay_safe_and_compilable() {
         let p = seeded_tc_with_island();
-        for mode in [DemandMode::Off, DemandMode::Prune, DemandMode::Magic] {
+        for mode in [DemandMode::Off, DemandMode::Magic] {
             let (t, _) = transform(&p, Predicate::new("goal", 1), mode);
             assert!(t.is_safe(), "{mode}: {t}");
             assert!(

@@ -27,8 +27,8 @@
 //! op — same greedy join order, same delta literal, same filter placement —
 //! so a kernel enumerates candidate bindings in *exactly* the order the
 //! generic executor would (CSR buckets list ascending tuple ids, matching
-//! [`crate::plan::IndexSpace::probe_ready`]), and the sequential engine's
-//! store contents stay identical with kernels on or off. Rules that do not
+//! [`crate::plan::IndexSpace::probe`]), and the engine's store contents
+//! stay identical with kernels on or off. Rules that do not
 //! fit — an atom of arity > 2, or a probe into a predicate of the *current*
 //! stratum, whose relation grows mid-fixpoint while CSR adjacency is a
 //! rebuild-on-growth structure — simply keep their generic plan; selection
@@ -162,7 +162,7 @@ impl KBuiltin {
 #[derive(Debug, Clone)]
 pub(crate) enum KOp {
     /// Columnar scan of a unary relation (the depth-0 op honors the caller's
-    /// id range — delta or chunk — like the generic scan).
+    /// delta id range, like the generic scan).
     Scan1 { pred: PredId, act: KAction },
     /// Columnar scan of a binary relation.
     Scan2 {
@@ -235,8 +235,8 @@ pub(crate) struct KernelRule {
     ops: Vec<KOp>,
     /// Register count (the generic plan's `num_vars`).
     num_regs: usize,
-    /// The CSR slots this rule's probes read, deduped — the sequential
-    /// engine prepares exactly these before running the rule.
+    /// The CSR slots this rule's probes read, deduped — the engine prepares
+    /// exactly these before running the rule.
     pub(crate) csr_slots: Vec<CsrSlotSpec>,
     /// Sort-merge fast path, when the rule has the eligible shape.
     merge: Option<MergePlan>,
@@ -826,7 +826,7 @@ mod tests {
             &plan,
             &pred_map,
             &store,
-            &mut crate::engine::Probing::Lazy(&mut indexes),
+            &mut indexes,
             None,
             &mut generic_out,
         );

@@ -10,10 +10,11 @@
 //! The certainty check only inspects the `o/1` goal predicate, so generated
 //! programs pass through [`demand::transform`] before plan compilation
 //! (knob: [`demand::Demand`] in [`parallel::EvalOptions`], environment
-//! override `PATH_CQA_DEMAND=off|prune|magic`):
+//! override `PATH_CQA_DEMAND=off|magic`), in two stages:
 //!
 //! 1. **Prune** — rules whose head cannot reach the goal in the dependency
-//!    graph are dropped; applies to any stratified program.
+//!    graph are dropped; applies to any stratified program, and is the
+//!    fallback when stage 2 cannot apply.
 //! 2. **Magic** — eligible predicates are guarded behind `magic$…` demand
 //!    predicates seeded from the goal's bound arguments (sideways
 //!    information passing), so whole cones of irrelevant tuples are never

@@ -1126,7 +1126,7 @@ mod tests {
         let compiled = CompiledProgram::compile(program).unwrap();
         let base = edb_base_from_instance(prefix);
         let opts = EvalOptions::sequential();
-        let mut stats = EvalStats::new(1);
+        let mut stats = EvalStats::default();
         let fix = compiled.run_on_store_with(edb_overlay_on(&base, &deltas[0]), &opts);
         let mut state = bootstrap(&compiled, &fix, &deltas[0]);
         assert_eq!(state.store(), &fix, "bootstrap flatten changed contents");
@@ -1236,7 +1236,7 @@ mod tests {
         let fix =
             compiled.run_on_store_with(edb_overlay_on(&base, &delta), &EvalOptions::sequential());
         let mut state = bootstrap(&compiled, &fix, &delta);
-        let mut stats = EvalStats::new(1);
+        let mut stats = EvalStats::default();
         let verdict = maintain(
             &compiled,
             &mut state,
@@ -1261,7 +1261,7 @@ mod tests {
         let mut state = bootstrap(&compiled, &fix, &delta);
         // Replace nearly everything: the change dwarfs the resident store.
         let replacement = db(&[("E", "x", "y"), ("E", "y", "z"), ("E", "z", "w")]);
-        let mut stats = EvalStats::new(1);
+        let mut stats = EvalStats::default();
         let before = state.store().total_tuples();
         let verdict = maintain(
             &compiled,

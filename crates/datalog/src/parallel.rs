@@ -1,78 +1,29 @@
-//! Parallel stratum evaluation: scoped worker threads over snapshot rounds.
+//! Evaluation options and run statistics.
 //!
-//! # The per-worker-delta / deterministic-merge invariant
+//! [`EvalOptions`] carries the knobs threaded from the solvers down to the
+//! engine — the batch fan-out budget ([`Threads`]), demand transformation,
+//! kernel execution, checkpoint resume and differential maintenance — each
+//! with an `Auto` position that defers to its `PATH_CQA_*` environment
+//! variable. [`EvalStats`] reports what one evaluation run did.
 //!
-//! Rules within one semi-naive round are independent given the *previous*
-//! round's delta, so a round can fan out across threads — but only if two
-//! invariants hold, and every change to this module must preserve them:
-//!
-//! 1. **Derivation reads a frozen snapshot.** During a round's derive phase
-//!    nothing mutates the [`RelationStore`] or the [`IndexSpace`]; each work
-//!    item derives into a private buffer. This holds in *both* branches of
-//!    `run_round`: rounds above the work threshold fan items out across
-//!    scoped worker threads, rounds below it run the items on the
-//!    coordinator — but even then results are buffered and merged after all
-//!    items ran, never inserted eagerly in between. The indexes a stratum's
-//!    probes need are brought up to date *once per round* by the coordinator
-//!    ([`IndexSpace::extend_slot`] over the stratum's compile-time
-//!    `probe_slots`), gated on [`RelationStore::generation`] so a round that
-//!    derived nothing triggers no extension pass; the derive phase probes
-//!    through the read-only [`IndexSpace::probe_ready`] path.
-//!
-//! 2. **Merges are ordered, not racy.** After the derive phase (once the
-//!    scope joins, in the threaded case), the coordinator inserts the
-//!    per-item buffers into the store in *work item order* — rule order
-//!    first, then ascending chunk offset within a rule. Insertion order (and
-//!    therefore tuple ids, index contents and every downstream iteration
-//!    order) depends only on the program, the instance and the thread count
-//!    — never on scheduling. Running the same input twice at the same thread
-//!    count is bit-for-bit identical;
-//!    `crates/path-cqa/tests/parallel_agreement.rs` pins this, and asserts
-//!    via [`EvalStats::threaded_rounds`] that its large-delta workloads
-//!    really cross the threshold into the threaded branch.
-//!
-//! Compared to the sequential loop, a snapshot round may *miss* derivations
-//! that chain two facts discovered in the same round (the sequential engine
-//! inserts eagerly, so a later rule can consume an earlier rule's output
-//! immediately). That is harmless: every tuple inserted in round `r` lies in
-//! round `r+1`'s delta range, and the stratum has a delta plan for every
-//! positive same-stratum literal position, so any such derivation re-fires
-//! one round later. Both drivers reach the unique stratum fixpoint; only the
-//! round count and insertion order may differ. The differential property
-//! suite (`parallel_agreement.rs`) checks set-equality against both the
-//! sequential engine and the scan-based reference engine on random programs.
-//!
-//! Work items split a rule's depth-0 scan range into chunks (the delta
-//! literal of a recursive plan, or the leading full scan of a non-recursive
-//! one), so even a single-rule stratum — transitive closure, the linear CQA
-//! programs of Lemma 14 — parallelizes across its delta.
-//!
-//! Layered stores ([`crate::store`]) need no extra machinery here: the base
-//! layer is frozen (immutable by construction), so the only state a round
-//! must hold still is the overlay — exactly what the snapshot invariant
-//! already guarantees. Workers share the base through the same `&RelationStore`
-//! borrow, and the once-per-round index extension attaches the base's
-//! committed indexes through [`IndexSpace::extend_slot`] like any other
-//! absorption.
+//! The engine itself has a single stratum driver, the sequential semi-naive
+//! loop of [`crate::engine`]; the only parallelism is the solver layer's
+//! batch fan-out (`cqa-solver`'s `CertaintySession::certain_batch*`), which
+//! decides independent requests on scoped worker threads.
 
-use std::collections::VecDeque;
-
-use crate::engine::{CompiledStratum, Executor, PredId, Probing, RelationStore, Tuple};
-use crate::kernel::{KernelExecutor, KernelRule, KernelSpace};
-use crate::plan::{CompiledRule, IndexSpace, Op};
-
-/// How many worker threads an evaluation may use.
+/// The batch fan-out budget only: how many scoped worker threads a
+/// certainty session may spread one batch of independent requests across.
+/// The engine never reads it — every stratum runs on the sequential
+/// semi-naive loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threads {
     /// Defer to the `PATH_CQA_THREADS` environment variable; when it is
     /// unset (or unparsable) use [`std::thread::available_parallelism`].
-    /// This is the default, so a whole test suite or service can be switched
-    /// to a given parallelism level without touching call sites — and on a
-    /// single-core host everything stays on the exact sequential path.
+    /// On a single-core host batches stay on the calling thread.
     #[default]
     Auto,
-    /// A fixed number of threads; `1` selects the sequential engine
-    /// unchanged (bit-for-bit identical stores).
+    /// A fixed number of threads; `1` decides every batch on the calling
+    /// thread.
     Fixed(usize),
 }
 
@@ -81,8 +32,8 @@ impl Threads {
     ///
     /// `Auto` is resolved once per process (environment lookup plus an
     /// `available_parallelism` syscall are not free, and this sits on the
-    /// per-request path of warm certainty sessions); set `PATH_CQA_THREADS`
-    /// before the first evaluation.
+    /// per-batch path of warm certainty sessions); set `PATH_CQA_THREADS`
+    /// before the first batch.
     pub fn resolve(self) -> usize {
         match self {
             Threads::Fixed(n) => n.max(1),
@@ -195,7 +146,7 @@ impl Checkpoint {
 /// Like [`Checkpoint`], this knob never changes *what* is derived — the
 /// maintained store is byte-identical to a from-scratch run (pinned by the
 /// checkpoint differential suite across maintain × checkpoint × demand ×
-/// kernels × threads) — only how much per-mutation work it takes to stay
+/// kernels) — only how much per-mutation work it takes to stay
 /// there. `Auto` additionally falls back to from-scratch re-derivation when
 /// the change ratio makes maintenance unprofitable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -243,12 +194,12 @@ impl Maintain {
 /// Evaluation options, threaded from the solvers down to the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalOptions {
-    /// Worker-thread budget for stratum rounds (and, at the solver layer,
-    /// for fanning out batched certainty requests).
+    /// Worker-thread budget for fanning out batched certainty requests at
+    /// the solver layer (see [`Threads`]); the engine ignores it.
     pub threads: Threads,
     /// Demand transformation applied at program-generation time (see
-    /// [`crate::demand`]): goal-reachability pruning and/or the magic-sets
-    /// rewrite. The engine itself never consults this — by the time a plan
+    /// [`crate::demand`]): goal-reachability pruning plus the magic-sets
+    /// rewrite, or nothing. The engine itself never consults this — by the time a plan
     /// is compiled the transformation already happened — but it rides in the
     /// options so solvers and sessions pick it up from one place.
     pub demand: crate::demand::Demand,
@@ -267,7 +218,7 @@ pub struct EvalOptions {
 }
 
 impl EvalOptions {
-    /// Options pinning the exact sequential path (`threads = 1`).
+    /// Options with no batch fan-out (`threads = 1`).
     pub fn sequential() -> EvalOptions {
         EvalOptions {
             threads: Threads::Fixed(1),
@@ -275,7 +226,7 @@ impl EvalOptions {
         }
     }
 
-    /// Options with a fixed thread count.
+    /// Options with a fixed batch fan-out budget.
     pub fn with_threads(n: usize) -> EvalOptions {
         EvalOptions {
             threads: Threads::Fixed(n),
@@ -307,21 +258,14 @@ impl EvalOptions {
 /// Statistics of one evaluation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalStats {
-    /// Resolved worker-thread count the run used.
-    pub threads: usize,
     /// Semi-naive rounds executed, summed over strata (the initial
     /// full-plan round of each stratum counts as one).
     pub rounds: u64,
-    /// Index-extension passes that actually absorbed tuples. Pinned by a
-    /// regression test: an unproductive round must not re-extend (the
-    /// store's generation watermark did not move, so nothing can be stale).
+    /// Index-extension passes that actually absorbed tuples. Slots absorb
+    /// lazily, on the first probe after their relation grew, so the final
+    /// unproductive round's termination check extends nothing — pinned by a
+    /// regression test.
     pub index_extensions: u64,
-    /// Rounds that actually spawned scoped worker threads (rounds whose
-    /// estimated work falls below the inline threshold run on the
-    /// coordinator instead). The differential harness asserts this is
-    /// nonzero on its large-delta workloads, so the threaded derive/merge
-    /// path can never silently fall out of test coverage.
-    pub threaded_rounds: u64,
     /// Committed base-layer indexes this run *built* (rather than found
     /// cached on its store's [`crate::store::BaseStore`]). Zero for flat
     /// stores; for a family of runs over one shared base only the first run
@@ -351,9 +295,9 @@ pub struct EvalStats {
     /// Compiled plans this run executed through the generic tuple executor
     /// (ineligible rules, or every rule when kernels are disabled).
     pub generic_rules: u64,
-    /// Kernel derive calls this run issued (work items on the parallel
-    /// driver, rule executions on the sequential one) — the per-run "kernel
-    /// hit" count surfaced through session and server stats.
+    /// Kernel derive calls this run issued (one per kernel rule execution)
+    /// — the per-run "kernel hit" count surfaced through session and server
+    /// stats.
     pub kernel_invocations: u64,
     /// Strata this run resumed from a base checkpoint instead of evaluating
     /// from scratch (their initial full-plan round was replaced by
@@ -376,8 +320,8 @@ pub struct EvalStats {
     /// Tuples the DRed rederivation phase re-inserted after overdeletion
     /// (alternative derivations survived the deleted support).
     pub tuples_rederived: u64,
-    /// Wall-clock nanoseconds spent evaluating strata (semi-naive rounds,
-    /// both drivers), summed over the run. For maintained answers this is
+    /// Wall-clock nanoseconds spent evaluating strata (semi-naive rounds),
+    /// summed over the run. For maintained answers this is
     /// the repair pass duration instead. Always-on: the timer wraps whole
     /// strata, not rounds, so its cost is noise next to one fixpoint.
     pub eval_ns: u64,
@@ -388,382 +332,11 @@ pub struct EvalStats {
     pub index_build_ns: u64,
 }
 
-impl EvalStats {
-    pub(crate) fn new(threads: usize) -> EvalStats {
-        EvalStats {
-            threads,
-            ..EvalStats::default()
-        }
-    }
-}
-
-/// One unit of round work: a plan plus an optional depth-0 scan range
-/// (a chunk of the delta range, or of a leading full scan), and the rule's
-/// kernel when this round executes it through the specialized path.
-struct Item<'a> {
-    plan: &'a CompiledRule,
-    kernel: Option<&'a KernelRule>,
-    range: Option<(usize, usize)>,
-}
-
-/// Per-worker state, persistent across rounds and strata so executor scratch
-/// (binding arrays, probe-id buffers) is reused instead of reallocated.
-pub(crate) struct WorkerPool {
-    workers: Vec<Worker>,
-}
-
-struct Worker {
-    executor: Executor,
-    kexec: KernelExecutor,
-    /// `(item index, derived tuples)` pairs produced during the round.
-    results: Vec<(usize, Vec<Tuple>)>,
-    /// Recycled tuple buffers, refilled from `results` after every merge.
-    spare: VecDeque<Vec<Tuple>>,
-}
-
-impl Worker {
-    /// Derives one item into `out` through the item's chosen path.
-    fn derive_item(
-        &mut self,
-        item: &Item<'_>,
-        pred_map: &[PredId],
-        store: &RelationStore,
-        indexes: &IndexSpace,
-        kernels: &KernelSpace,
-        out: &mut Vec<Tuple>,
-    ) {
-        match item.kernel {
-            Some(kernel) => self
-                .kexec
-                .derive(kernel, pred_map, store, kernels, item.range, out),
-            None => self.executor.derive(
-                item.plan,
-                pred_map,
-                store,
-                &mut Probing::Ready(indexes),
-                item.range,
-                out,
-            ),
-        }
-    }
-}
-
-impl WorkerPool {
-    pub(crate) fn new(threads: usize) -> WorkerPool {
-        let mut workers = Vec::with_capacity(threads);
-        workers.resize_with(threads, || Worker {
-            executor: Executor::default(),
-            kexec: KernelExecutor::default(),
-            results: Vec::new(),
-            spare: VecDeque::new(),
-        });
-        WorkerPool { workers }
-    }
-}
-
-/// Minimum scan-chunk size: below this, per-item overhead (buffer churn,
-/// merge bookkeeping) outweighs any parallel win, so small deltas stay in
-/// one item.
-const MIN_CHUNK: usize = 256;
-
-/// Splits a depth-0 scan range into at most `workers * 4` chunks of at least
-/// [`MIN_CHUNK`] tuples, pushing one work item per chunk.
-fn push_chunked<'a>(
-    items: &mut Vec<Item<'a>>,
-    plan: &'a CompiledRule,
-    kernel: Option<&'a KernelRule>,
-    lo: usize,
-    hi: usize,
-    workers: usize,
-) {
-    let len = hi - lo;
-    if len == 0 {
-        return;
-    }
-    let chunks = len.div_ceil(MIN_CHUNK).clamp(1, workers * 4);
-    let chunk = len.div_ceil(chunks);
-    let mut start = lo;
-    while start < hi {
-        let end = (start + chunk).min(hi);
-        items.push(Item {
-            plan,
-            kernel,
-            range: Some((start, end)),
-        });
-        start = end;
-    }
-}
-
-/// Pushes the work items of one plan: chunked over the depth-0 scan range if
-/// the plan opens with a scan, a single unchunked item otherwise.
-fn push_plan_items<'a>(
-    items: &mut Vec<Item<'a>>,
-    plan: &'a CompiledRule,
-    kernel: Option<&'a KernelRule>,
-    delta: Option<(usize, usize)>,
-    pred_map: &[PredId],
-    store: &RelationStore,
-    workers: usize,
-) {
-    match plan.ops.first() {
-        Some(Op::Scan(ap)) => {
-            let (lo, hi) =
-                delta.unwrap_or_else(|| (0, store.tuples_by_id(pred_map[ap.pred.index()]).len()));
-            push_chunked(items, plan, kernel, lo, hi, workers);
-        }
-        // No leading scan (constant-bound probe/exists, or an empty body):
-        // the plan is one indivisible item. A delta range never lands here —
-        // delta literals always compile to a leading scan.
-        _ => items.push(Item {
-            plan,
-            kernel,
-            range: delta,
-        }),
-    }
-}
-
-/// Runs one round's items across the pool and merges the derived tuples into
-/// the store in item order (the deterministic-merge invariant).
-///
-/// Both branches follow the same two-phase protocol — derive every item
-/// against the frozen store, *then* merge — so the snapshot invariant of the
-/// module docs holds whether or not threads are spawned.
-fn run_round(
-    items: &[Item<'_>],
-    pred_map: &[PredId],
-    store: &mut RelationStore,
-    indexes: &IndexSpace,
-    kernels: &KernelSpace,
-    pool: &mut WorkerPool,
-    stats: &mut EvalStats,
-) {
-    stats.kernel_invocations += items.iter().filter(|item| item.kernel.is_some()).count() as u64;
-    // Estimated round size: scan-range lengths, with unchunkable items
-    // charged a full chunk. Small rounds — the long tail of a fixpoint,
-    // where deltas shrink to a handful of tuples — run on the coordinator:
-    // spawning scoped threads costs more than the work itself, and
-    // `WorkerPool` persists scratch only, not parked threads (a future
-    // optimization noted in the ROADMAP). The threshold depends only on the
-    // items, so determinism at a fixed thread count is unaffected.
-    let work: usize = items
-        .iter()
-        .map(|item| item.range.map_or(MIN_CHUNK, |(lo, hi)| hi - lo))
-        .sum();
-    let mut active = pool.workers.len().min(items.len());
-    if active <= 1 || work < 2 * MIN_CHUNK {
-        // Derive phase on the coordinator, same frozen-store reads as the
-        // threaded branch (results buffered, merged below — never inserted
-        // eagerly between items).
-        active = 1;
-        let worker = &mut pool.workers[0];
-        worker.results.clear();
-        for (i, item) in items.iter().enumerate() {
-            let mut out = worker.spare.pop_front().unwrap_or_default();
-            out.clear();
-            worker.derive_item(item, pred_map, store, indexes, kernels, &mut out);
-            if out.is_empty() {
-                worker.spare.push_back(out);
-            } else {
-                worker.results.push((i, out));
-            }
-        }
-    } else {
-        stats.threaded_rounds += 1;
-        let shared_store: &RelationStore = store;
-        std::thread::scope(|scope| {
-            for (w, worker) in pool.workers.iter_mut().enumerate().take(active) {
-                worker.results.clear();
-                scope.spawn(move || {
-                    // Round-robin assignment: worker `w` takes items w, w+n, ...
-                    for (i, item) in items.iter().enumerate().filter(|(i, _)| i % active == w) {
-                        let mut out = worker.spare.pop_front().unwrap_or_default();
-                        out.clear();
-                        worker.derive_item(
-                            item,
-                            pred_map,
-                            shared_store,
-                            indexes,
-                            kernels,
-                            &mut out,
-                        );
-                        if out.is_empty() {
-                            worker.spare.push_back(out);
-                        } else {
-                            worker.results.push((i, out));
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    // Deterministic merge: item order, independent of which worker finished
-    // first (buffers are tagged with their item index, so this is a plain
-    // sort — thread scheduling cannot influence it).
-    let mut merged: Vec<(usize, usize, Vec<Tuple>)> = Vec::new();
-    for (w, worker) in pool.workers.iter_mut().enumerate().take(active) {
-        for (i, out) in worker.results.drain(..) {
-            merged.push((i, w, out));
-        }
-    }
-    merged.sort_unstable_by_key(|&(i, _, _)| i);
-    for (i, w, mut out) in merged {
-        let head = pred_map[items[i].plan.head_pred.index()];
-        for tuple in out.drain(..) {
-            store.insert_by_id(head, tuple);
-        }
-        pool.workers[w].spare.push_back(out);
-    }
-}
-
-/// Picks a rule's kernel iff this run executes kernels at all.
-fn kernel_of(use_kernels: bool, slot: &Option<KernelRule>) -> Option<&KernelRule> {
-    if use_kernels {
-        slot.as_ref()
-    } else {
-        None
-    }
-}
-
-/// Parallel semi-naive evaluation of one stratum: snapshot rounds across the
-/// worker pool, with the per-round index-extension and deterministic-merge
-/// protocol described in the module docs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_stratum_parallel(
-    stratum: &CompiledStratum,
-    pred_map: &[PredId],
-    store: &mut RelationStore,
-    indexes: &mut IndexSpace,
-    kspace: &mut KernelSpace,
-    use_kernels: bool,
-    resume: bool,
-    pool: &mut WorkerPool,
-    stats: &mut EvalStats,
-) {
-    let workers = pool.workers.len();
-    let watermark = |store: &RelationStore| -> Vec<usize> {
-        stratum
-            .preds
-            .iter()
-            .map(|&p| store.len_of(pred_map[p.index()]))
-            .collect()
-    };
-    // Brings the probe structures the round will actually read up to date
-    // with the store — the hash indexes of slots some *generic* plan probes
-    // (all slots when kernels are off), plus the CSR adjacencies of the
-    // stratum's kernels — skipped entirely when the generation watermark
-    // proves nothing has grown since the previous pass. This is the
-    // once-per-round update; the rest of the round treats both structures as
-    // read-only. Extending only the generically probed hash slots matters:
-    // re-extending indexes that exist purely for kernel-executed rules would
-    // pay the hash-build cost the kernels are there to avoid.
-    let mut extended_at: Option<u64> = None;
-    macro_rules! extend_indexes {
-        () => {
-            if extended_at != Some(store.generation()) {
-                let hash_slots = if use_kernels {
-                    &stratum.generic_probe_slots
-                } else {
-                    &stratum.probe_slots
-                };
-                for ps in hash_slots {
-                    indexes.extend_slot(ps.slot, store, pred_map[ps.pred.index()], ps.mask);
-                }
-                if use_kernels {
-                    for &spec in &stratum.csr_slots {
-                        kspace.prepare(spec, pred_map, store);
-                    }
-                }
-                extended_at = Some(store.generation());
-            }
-        };
-    }
-
-    let mut low = watermark(store);
-    let mut items: Vec<Item<'_>> = Vec::new();
-
-    stats.rounds += 1;
-    extend_indexes!();
-    if resume && stratum.checkpointable {
-        // Resume round: the base already holds this stratum's checkpoint
-        // fixpoint, so instead of the full-plan round each resume plan fires
-        // only over the overlay segment of its chosen non-same-stratum body
-        // literal (the EDB delta, or tuples a lower checkpointable stratum
-        // derived earlier in this resumed run). Same-stratum consequences are
-        // then closed by the ordinary delta loop below — `low` was taken
-        // before this round, so everything the resume round inserts lands in
-        // the first delta range.
-        stats.checkpoint_hits += 1;
-        // Resume plans probe read-only (`Probing::Ready`), and their slots
-        // may be absent from the per-round extension lists above (those only
-        // cover full/delta plans) — bring them up to date here, once.
-        for ps in &stratum.resume_probe_slots {
-            indexes.extend_slot(ps.slot, store, pred_map[ps.pred.index()], ps.mask);
-        }
-        for (pred, plan) in &stratum.resume_plans {
-            let tuples = store.tuples_by_id(pred_map[pred.index()]);
-            let (lo, hi) = (tuples.base_len(), tuples.len());
-            if lo == hi {
-                continue;
-            }
-            push_chunked(&mut items, plan, None, lo, hi, workers);
-        }
-    } else {
-        // Initial round: every full plan against the snapshot, leading scans
-        // chunked.
-        for (plan, kernel) in stratum.full_plans.iter().zip(&stratum.full_kernels) {
-            push_plan_items(
-                &mut items,
-                plan,
-                kernel_of(use_kernels, kernel),
-                None,
-                pred_map,
-                store,
-                workers,
-            );
-        }
-    }
-    run_round(&items, pred_map, store, indexes, kspace, pool, stats);
-
-    if stratum.delta_plans.is_empty() {
-        return;
-    }
-
-    // Delta rounds, until a round derives nothing. The termination check
-    // runs *before* the extension pass, so the final (empty) iteration costs
-    // neither an extension nor a scope.
-    loop {
-        let high = watermark(store);
-        if high == low {
-            break;
-        }
-        stats.rounds += 1;
-        extend_indexes!();
-        items.clear();
-        for ((delta_idx, plan), kernel) in stratum.delta_plans.iter().zip(&stratum.delta_kernels) {
-            let (lo, hi) = (low[*delta_idx], high[*delta_idx]);
-            if lo == hi {
-                continue;
-            }
-            push_chunked(
-                &mut items,
-                plan,
-                kernel_of(use_kernels, kernel),
-                lo,
-                hi,
-                workers,
-            );
-        }
-        run_round(&items, pred_map, store, indexes, kspace, pool, stats);
-        low = high;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::{BodyLiteral, DlAtom, DlTerm, Predicate, Program, Rule};
-    use crate::engine::CompiledProgram;
+    use crate::engine::{CompiledProgram, RelationStore};
     use cqa_db::instance::DatabaseInstance;
 
     fn atom(name: &str, vars: &[&str]) -> DlAtom {
@@ -811,46 +384,27 @@ mod tests {
 
     #[test]
     fn unproductive_rounds_do_not_re_extend_indexes() {
-        // Chain n0..n3: the closure finishes deriving in round 3, and the
-        // fourth round (delta = the single length-3 path) derives nothing
-        // new. Watermark accounting must charge index-extension passes only
-        // to rounds after which the store actually grew:
+        // Chain n0..n3. The driver inserts eagerly, so the initial round
+        // already closes paths of length 2, and index slots absorb new
+        // tuples lazily, on the first probe after the relation grew:
         //
-        //   round 1 (full plans):  path is empty, no slot absorbs    -> +0
-        //   round 2 (delta 0..3):  path@3, both (path, mask) slots   -> +2
-        //   round 3 (delta 3..5):  path@5, both slots                -> +2
-        //   round 4 (delta 5..6):  path@6, both slots                -> +2
+        //   round 1 (full plans):  path@3 before the join probes slot
+        //                          (path, 0b01), which absorbs them  -> +1
+        //   round 2 (delta 0..5):  slot 0b01 absorbs path@5, then the
+        //                          second delta plan's first probe of
+        //                          slot 0b10 absorbs path@6          -> +2
+        //   round 3 (delta 5..6):  slot 0b01 absorbs path@6; slot
+        //                          0b10 is already current           -> +1
         //   termination check:     store unchanged, NO pass          -> +0
         //
         // A regressed driver that extends before checking termination (or
-        // that bumps versions on unproductive rounds) reports 8 here.
+        // that bumps versions on unproductive rounds) reports more.
         let compiled = CompiledProgram::compile(&nonlinear_tc()).unwrap();
         let store = crate::engine::edb_from_instance(&chain_db(3));
-        let (result, stats) =
-            compiled.run_on_store_with_stats(store, &EvalOptions::with_threads(2));
+        let (result, stats) = compiled.run_on_store_with_stats(store, &EvalOptions::default());
         assert_eq!(result.len(Predicate::new("path", 2)), 6);
-        assert_eq!(stats.threads, 2);
-        assert_eq!(stats.rounds, 4);
-        assert_eq!(stats.index_extensions, 6);
-    }
-
-    #[test]
-    fn sequential_and_parallel_runs_report_stats() {
-        let compiled = CompiledProgram::compile(&nonlinear_tc()).unwrap();
-        let db = chain_db(4);
-        let (seq_store, seq_stats) = compiled.run_on_store_with_stats(
-            crate::engine::edb_from_instance(&db),
-            &EvalOptions::sequential(),
-        );
-        let (par_store, par_stats) = compiled.run_on_store_with_stats(
-            crate::engine::edb_from_instance(&db),
-            &EvalOptions::with_threads(4),
-        );
-        assert_eq!(seq_stats.threads, 1);
-        assert_eq!(par_stats.threads, 4);
-        assert!(seq_stats.rounds >= 2);
-        assert!(par_stats.rounds >= 2);
-        assert_eq!(seq_store, par_store);
+        assert_eq!(stats.rounds, 3);
+        assert_eq!(stats.index_extensions, 4);
     }
 
     #[test]
@@ -862,38 +416,5 @@ mod tests {
         assert!(!store.insert(p, [cqa_core::symbol::Symbol::new("a")]));
         assert!(store.insert(p, [cqa_core::symbol::Symbol::new("b")]));
         assert_eq!(store.generation(), 2);
-    }
-
-    #[test]
-    fn chunking_respects_min_chunk_and_worker_cap() {
-        let rule = Rule::new(
-            atom("h", &["X", "Y"]),
-            vec![BodyLiteral::Positive(atom("E", &["X", "Y"]))],
-        );
-        let vars = rule.numbering();
-        let mut preds = crate::engine::PredTable::default();
-        let mut islots = crate::plan::IndexSlots::default();
-        let plan = crate::plan::compile_rule(&rule, &vars, None, &mut preds, &mut islots);
-
-        // Tiny range: one item, never split below MIN_CHUNK.
-        let mut items = Vec::new();
-        push_chunked(&mut items, &plan, None, 0, 100, 8);
-        assert_eq!(items.len(), 1);
-        assert_eq!(items[0].range, Some((0, 100)));
-
-        // Large range: capped at workers * 4 chunks, covering exactly.
-        let mut items = Vec::new();
-        push_chunked(&mut items, &plan, None, 0, 1_000_000, 4);
-        assert_eq!(items.len(), 16);
-        assert_eq!(items[0].range.unwrap().0, 0);
-        assert_eq!(items.last().unwrap().range.unwrap().1, 1_000_000);
-        for pair in items.windows(2) {
-            assert_eq!(pair[0].range.unwrap().1, pair[1].range.unwrap().0);
-        }
-
-        // Empty range: no items at all.
-        let mut items = Vec::new();
-        push_chunked(&mut items, &plan, None, 7, 7, 4);
-        assert!(items.is_empty());
     }
 }

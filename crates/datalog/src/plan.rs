@@ -351,20 +351,6 @@ pub(crate) fn compile_rule(
     }
 }
 
-/// A `(slot, pred, mask)` triple naming one index a stratum's probes use;
-/// collected per stratum at compile time so the parallel driver can bring
-/// every needed index up to date *once per round* and then share the
-/// [`IndexSpace`] read-only across workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ProbeSlot {
-    /// Dense index slot (see [`IndexSlots`]).
-    pub slot: u32,
-    /// Program-scoped predicate id.
-    pub pred: PredId,
-    /// Bound-position mask.
-    pub mask: u32,
-}
-
 /// Lazily built hash indexes over one run's relations, one per compile-time
 /// index slot (a distinct `(pred, mask)` pair — see [`IndexSlots`]).
 ///
@@ -381,13 +367,8 @@ pub(crate) struct ProbeSlot {
 /// the slot's private `entries` then only ever hold overlay ids. On a flat
 /// store the base side stays `None` and nothing changes.
 ///
-/// Two usage modes share this structure:
-///
-/// * the sequential engine probes through [`IndexSpace::probe`], which
-///   lazily absorbs freshly appended tuples before every lookup;
-/// * the parallel engine extends every slot a stratum needs up front
-///   ([`IndexSpace::extend_slot`], once per round) and then lets worker
-///   threads look up through the read-only [`IndexSpace::probe_ready`].
+/// The engine probes through [`IndexSpace::probe`], which lazily absorbs
+/// freshly appended tuples before every lookup.
 #[derive(Debug, Default)]
 pub(crate) struct IndexSpace {
     slots: Vec<PredIndex>,
@@ -421,16 +402,9 @@ impl IndexSpace {
     /// Absorbs the tuples appended to `pred`'s relation since slot `slot`
     /// last saw it; on the first pass over an overlay store this attaches
     /// the base's committed `(pred, mask)` index (building it if no run over
-    /// this base probed the pair before). Returns true iff overlay tuples
-    /// were absorbed (an "extension pass"); the total is tracked for the
-    /// engine's evaluation stats.
-    pub(crate) fn extend_slot(
-        &mut self,
-        slot: u32,
-        store: &RelationStore,
-        pred: PredId,
-        mask: u32,
-    ) -> bool {
+    /// this base probed the pair before). A pass that absorbs overlay
+    /// tuples counts as one extension in the engine's evaluation stats.
+    fn extend_slot(&mut self, slot: u32, store: &RelationStore, pred: PredId, mask: u32) {
         let view = store.tuples_by_id(pred);
         let base_len = view.base_len();
         // Both slow branches below are timed into `build_ns`; the per-probe
@@ -445,7 +419,7 @@ impl IndexSpace {
             self.build_ns += timer.elapsed_ns();
         }
         if self.slots[slot as usize].upto >= view.len() {
-            return false;
+            return;
         }
         let timer = cqa_obs::Stopwatch::start();
         let index = &mut self.slots[slot as usize];
@@ -462,12 +436,12 @@ impl IndexSpace {
         index.upto = view.len();
         self.extensions += 1;
         self.build_ns += timer.elapsed_ns();
-        true
     }
 
     /// Appends the ids of `pred`'s tuples matching `key` on the positions of
     /// `mask` to `out`, absorbing freshly appended tuples into slot `slot`
-    /// first.
+    /// first. Base-layer ids all precede overlay ids, so the merged list is
+    /// ascending.
     pub(crate) fn probe(
         &mut self,
         slot: u32,
@@ -478,14 +452,6 @@ impl IndexSpace {
         out: &mut Vec<u32>,
     ) {
         self.extend_slot(slot, store, pred, mask);
-        self.probe_ready(slot, key, out);
-    }
-
-    /// Read-only lookup against slot `slot`, which the caller must have
-    /// brought up to date with [`IndexSpace::extend_slot`]. This is the probe
-    /// path worker threads share during a parallel round. Base-layer ids all
-    /// precede overlay ids, so the merged list is ascending.
-    pub(crate) fn probe_ready(&self, slot: u32, key: &[Symbol], out: &mut Vec<u32>) {
         let index = &self.slots[slot as usize];
         if let Some(ids) = index.base.as_ref().and_then(|b| b.entries.get(key)) {
             out.extend_from_slice(ids);
@@ -496,8 +462,8 @@ impl IndexSpace {
     }
 
     /// Number of extension passes that actually absorbed tuples, across all
-    /// slots. A pinned regression test keeps the parallel driver honest about
-    /// not re-extending after unproductive rounds.
+    /// slots. A pinned regression test keeps the driver honest about not
+    /// re-extending after unproductive rounds.
     pub(crate) fn extensions(&self) -> u64 {
         self.extensions
     }

@@ -25,11 +25,10 @@
 //! [`crate::cqa_program::generate_program`], so every generated program is
 //! transformed and planned at most once per process and demand setting.
 //!
-//! The cache is `Sync` and its payloads are immutable, so the parallel batch
-//! driver (`cqa-solver`'s `CertaintySession::certain_batch`) and the
-//! parallel stratum evaluator ([`crate::parallel`]) share compiled plans
-//! across worker threads without copying; racing compilations of the same
-//! program are collapsed to whichever insertion wins.
+//! The cache is `Sync` and its payloads are immutable, so the batch fan-out
+//! (`cqa-solver`'s `CertaintySession::certain_batch`) shares compiled plans
+//! across its worker threads without copying; racing compilations of the
+//! same program are collapsed to whichever insertion wins.
 //!
 //! Plan caching composes with store layering ([`crate::store`]): a compiled
 //! program's `(pred, mask)` index slots are stable across runs, and on
@@ -74,10 +73,10 @@ pub struct PlannedProgram {
 
 /// A cache of transformed/compiled programs keyed by untransformed program
 /// identity *and* demand mode. The mode is part of the key so one setting's
-/// entries can never collide with another's — a magic rewrite that degrades
-/// to pruning (nothing restrictable) yields a program structurally identical
-/// to the prune-mode one, and the two must still occupy distinct entries or
-/// warm lookups under one setting would observe the other setting's hit/miss
+/// entries can never collide with another's — a magic rewrite with nothing
+/// to prune or restrict yields a program structurally identical to the
+/// untransformed one, and the two must still occupy distinct entries or warm
+/// lookups under one setting would observe the other setting's hit/miss
 /// accounting.
 #[derive(Debug, Default)]
 pub struct PlanCache {
@@ -91,14 +90,13 @@ pub struct PlanCache {
 #[derive(Debug, Default)]
 struct Slots {
     plain: Option<Arc<CompiledProgram>>,
-    planned: [Option<Arc<PlannedProgram>>; 3],
+    planned: [Option<Arc<PlannedProgram>>; 2],
 }
 
 fn mode_slot(mode: DemandMode) -> usize {
     match mode {
         DemandMode::Off => 0,
-        DemandMode::Prune => 1,
-        DemandMode::Magic => 2,
+        DemandMode::Magic => 1,
     }
 }
 
@@ -303,7 +301,7 @@ mod tests {
         // share an entry nor cross-talk on hit/miss accounting: each mode
         // sees exactly one cold miss and then warm hits.
         let cache = PlanCache::new();
-        for mode in [DemandMode::Off, DemandMode::Prune, DemandMode::Magic] {
+        for mode in [DemandMode::Off, DemandMode::Magic] {
             let cold = cache.get_or_plan(&tc_program("E"), goal(), mode).unwrap();
             let warm = cache.get_or_plan(&tc_program("E"), goal(), mode).unwrap();
             assert!(
@@ -312,9 +310,9 @@ mod tests {
             );
             assert_eq!(cold.goal, goal());
         }
-        assert_eq!(cache.misses(), 3);
-        assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.len(), 2);
         // Entries are distinct plans, not aliases of one compilation.
         let off = cache
             .get_or_plan(&tc_program("E"), goal(), DemandMode::Off)

@@ -19,14 +19,14 @@
 //! ranges — are positions in the *concatenation* base-then-overlay, exposed
 //! as the two-segment [`Tuples`] view. A flat store is simply the
 //! empty-base case: every view degenerates to plain slice access, so the
-//! single-layer engine paths are unchanged (and `threads = 1` evaluation
-//! stays bit-identical to the pre-layering engine).
+//! single-layer engine paths are unchanged (and evaluation stays
+//! bit-identical to the pre-layering engine).
 //!
 //! Duplicate suppression spans layers: inserting a tuple the base already
 //! holds is a no-op, so `base ∪ overlay` is a genuine set and
 //! [`RelationStore::len_of`] is its cardinality. The generation watermark of
-//! an overlay starts at the base's, keeping the "has anything grown?"
-//! comparisons of the evaluation drivers monotone across the seam.
+//! an overlay starts at the base's, so the derived-tuple counts taken from
+//! its growth stay monotone across the seam.
 //!
 //! # Columnar mirrors
 //!
@@ -795,9 +795,8 @@ pub struct RelationStore {
     relations: Vec<Relation>,
     /// Monotone watermark: bumped exactly once per tuple that is actually
     /// inserted (duplicates do not count); overlays start at the base's
-    /// watermark. The evaluation drivers compare generations to decide
-    /// whether any index could possibly be stale, so an unproductive round
-    /// never triggers an index-extension pass.
+    /// watermark. The engine and the maintenance passes count the tuples a
+    /// run derived as the watermark's growth.
     generation: u64,
 }
 

@@ -157,7 +157,13 @@ pub fn paths_with_trace(
         .collect();
     for start in starts {
         let remaining = limit.saturating_sub(all.len());
-        let mut found = paths_with_trace_from(db, start, trace, remaining)?;
+        // Each start is searched under what is left of the budget, but the
+        // caller asked for (and must be told about) the whole cap.
+        let mut found =
+            paths_with_trace_from(db, start, trace, remaining).map_err(|e| match e {
+                DbError::PathLimitExceeded(_) => DbError::PathLimitExceeded(limit),
+                other => other,
+            })?;
         all.append(&mut found);
     }
     Ok(all)
@@ -356,6 +362,23 @@ mod tests {
         }
         let err = paths_with_trace(&db, &Word::from_letters("R"), 5);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn limit_error_reports_the_cap_not_the_remaining_budget() {
+        // Two paths from `a`, three from `c`: the cap of 4 is crossed while
+        // searching the second start, when only 2 of the budget remain.
+        let mut db = DatabaseInstance::new();
+        for v in ["b0", "b1"] {
+            db.insert_parsed("R", "a", v);
+        }
+        for v in ["d0", "d1", "d2"] {
+            db.insert_parsed("R", "c", v);
+        }
+        assert_eq!(
+            paths_with_trace(&db, &Word::from_letters("R"), 4),
+            Err(DbError::PathLimitExceeded(4))
+        );
     }
 
     #[test]

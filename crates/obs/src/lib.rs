@@ -10,8 +10,9 @@
 //! Two layers of cost:
 //!
 //! * **Always-on** — counters, gauges and coarse phase histograms that the
-//!   server records unconditionally. Budgeted at <2% of `server_throughput`
-//!   (measured by `scripts/bench_datalog.sh`).
+//!   server records unconditionally. Budgeted at <2% of serving throughput;
+//!   perfbench's `--trace 1` run reports the span layer's cost on top of it
+//!   as `obs.trace_overhead_pct`.
 //! * **Trace spans** — fine-grained phase histograms ([`Span`]) behind the
 //!   `PATH_CQA_TRACE` knob (`auto`/`on` = record, `off`/`0` = skip). The
 //!   knob follows the workspace `Auto|Off|On` convention but resolves into

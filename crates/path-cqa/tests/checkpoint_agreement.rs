@@ -9,8 +9,7 @@
 //! * **Full-store agreement** — on ≥ 200 random stratified program/instance
 //!   pairs split into a frozen prefix plus an overlay delta, the
 //!   checkpoint-resumed store equals the from-scratch compiled store equals
-//!   the scan-based reference engine, with kernels on and off, at 1, 2 and
-//!   8 engine threads.
+//!   the scan-based reference engine, with kernels on and off.
 //! * **Resume accounting** — on generated CQA programs the resumed run
 //!   reports `checkpoint_hits > 0` and derives strictly fewer tuples than
 //!   from scratch, while `Checkpoint::Off` routes around the checkpoint
@@ -85,32 +84,28 @@ fn checkpoint_resumed_runs_agree_with_scratch_and_reference_on_random_programs()
             let base = edb_base_from_instance(&prefix);
             let checkpointed = compiled.checkpoint_base(&base);
             for kernels in [Kernels::Off, Kernels::On] {
-                for threads in [1usize, 2, 8] {
-                    let options = EvalOptions::with_threads(threads).with_kernels(kernels);
-                    let (resumed, stats) = compiled.resume_on_store_with_stats(
-                        edb_overlay_on(&checkpointed, &delta),
-                        &options,
-                    );
-                    assert_eq!(
-                        store_set(&resumed),
-                        expected,
-                        "checkpoint-resumed store under {kernels:?} at {threads} threads \
-                         disagrees with the scan reference (program seed {program_seed}, \
-                         instance seed {instance_seed}, prefix {keep}%)\n{program}"
-                    );
-                    resumed_strata += stats.checkpoint_hits;
-                    // From-scratch compiled evaluation on the raw base must
-                    // agree too (same options; exercises the overlay path
-                    // the solver uses with Checkpoint::Off).
-                    let (scratch, _) =
-                        compiled.run_on_store_with_stats(edb_overlay_on(&base, &delta), &options);
-                    assert_eq!(
-                        store_set(&scratch),
-                        expected,
-                        "from-scratch store disagrees (program seed {program_seed}, \
-                         instance seed {instance_seed})\n{program}"
-                    );
-                }
+                let options = EvalOptions::default().with_kernels(kernels);
+                let (resumed, stats) = compiled
+                    .resume_on_store_with_stats(edb_overlay_on(&checkpointed, &delta), &options);
+                assert_eq!(
+                    store_set(&resumed),
+                    expected,
+                    "checkpoint-resumed store under {kernels:?} disagrees with the scan \
+                     reference (program seed {program_seed}, instance seed {instance_seed}, \
+                     prefix {keep}%)\n{program}"
+                );
+                resumed_strata += stats.checkpoint_hits;
+                // From-scratch compiled evaluation on the raw base must
+                // agree too (same options; exercises the overlay path
+                // the solver uses with Checkpoint::Off).
+                let (scratch, _) =
+                    compiled.run_on_store_with_stats(edb_overlay_on(&base, &delta), &options);
+                assert_eq!(
+                    store_set(&scratch),
+                    expected,
+                    "from-scratch store disagrees (program seed {program_seed}, \
+                     instance seed {instance_seed})\n{program}"
+                );
             }
             checked += 1;
         }
@@ -383,7 +378,7 @@ fn checkpoints_are_cached_per_program_on_the_base() {
     });
     assert!(Arc::ptr_eq(&first, &second), "checkpoint cache must hit");
 
-    // Probing the checkpointed variant counts toward the original base's
+    // Index builds on the checkpointed variant count toward the original base's
     // cumulative index builds (the registry reads only the original).
     let before = base.index_builds();
     let options = EvalOptions::sequential();

@@ -1,6 +1,6 @@
 //! Shared test infrastructure: a seeded generator of random stratified
-//! Datalog programs, used by the engine-agreement and parallel-agreement
-//! differential suites.
+//! Datalog programs, used by the engine, checkpoint, demand, kernel and
+//! copy-on-write family differential suites.
 //!
 //! Programs are generated level by level so stratification holds by
 //! construction: a rule's positive literals draw from its own level or below

@@ -4,10 +4,10 @@
 //! (`cqa_datalog::demand`) to the trusted engines:
 //!
 //! * **Goal agreement** — on ≥ 200 random stratified program/instance pairs,
-//!   the goal predicate's extension under `Off`, `Prune` and `Magic` is
-//!   identical to the scan-based reference engine's extension of the
-//!   *untransformed* program, at 1, 2 and 8 engine threads. (Only the goal is
-//!   contractual: non-goal predicates may legitimately shrink.)
+//!   the goal predicate's extension under `Off` and `Magic` is identical to
+//!   the scan-based reference engine's extension of the *untransformed*
+//!   program. (Only the goal is contractual: non-goal predicates may
+//!   legitimately shrink.)
 //! * **Work regression** — on goal-sparse programs (a seeded walk over a long
 //!   chain), `EvalStats::tuples_derived` strictly drops from `Off` to
 //!   `Magic`; the transformation must actually save derivations, not just
@@ -67,23 +67,20 @@ fn demand_modes_preserve_the_goal_on_random_programs() {
             let reference = evaluate_scan(&program, &db)
                 .unwrap_or_else(|e| panic!("scan engine failed: {e}\n{program}"));
             let expected = relation_set(&reference, goal);
-            for mode in [DemandMode::Off, DemandMode::Prune, DemandMode::Magic] {
+            for mode in [DemandMode::Off, DemandMode::Magic] {
                 let (transformed, report) = demand_transform(&program, goal, mode);
                 restricted_somewhere += report.restricted_predicates;
                 let compiled = CompiledProgram::compile(&transformed).unwrap_or_else(|e| {
                     panic!("{mode}-transformed program failed to compile: {e}\n{transformed}")
                 });
-                for threads in [1usize, 2, 8] {
-                    let options = EvalOptions::with_threads(threads);
-                    let store = compiled.run_with(&db, &options);
-                    assert_eq!(
-                        relation_set(&store, goal),
-                        expected,
-                        "goal {goal} under {mode} at {threads} threads disagrees with the \
-                         reference (program seed {program_seed}, instance seed {instance_seed})\n\
-                         original:\n{program}\ntransformed:\n{transformed}"
-                    );
-                }
+                let store = compiled.run(&db);
+                assert_eq!(
+                    relation_set(&store, goal),
+                    expected,
+                    "goal {goal} under {mode} disagrees with the reference (program seed \
+                     {program_seed}, instance seed {instance_seed})\n\
+                     original:\n{program}\ntransformed:\n{transformed}"
+                );
             }
             checked += 1;
         }
@@ -149,14 +146,10 @@ fn tuples_derived_strictly_drops_on_goal_sparse_programs() {
         (stats.tuples_derived, relation_set(&store, goal))
     };
     let (off, off_goal) = derived(DemandMode::Off);
-    let (prune, prune_goal) = derived(DemandMode::Prune);
     let (magic, magic_goal) = derived(DemandMode::Magic);
-    assert_eq!(off_goal, prune_goal);
     assert_eq!(off_goal, magic_goal);
-    // Nothing is unreachable here, so pruning alone saves nothing…
-    assert_eq!(prune, off);
-    // …but the magic rewrite must strictly cut the derivation count: the
-    // full closure is Θ(n²) while the demanded cone is the seed's suffix.
+    // The magic rewrite must strictly cut the derivation count: the full
+    // closure is Θ(n²) while the demanded cone is the seed's suffix.
     assert!(
         magic < off,
         "magic derived {magic} tuples, no fewer than demand-off's {off}"
@@ -177,7 +170,7 @@ fn figure_instances_agree_with_the_naive_oracle_across_modes() {
     let naive = NaiveSolver::with_limit(1 << 16);
     for (name, db) in [("figure_2", figure_2()), ("figure_6", figure_6())] {
         let expected = naive.certain(&query, &db).unwrap();
-        for demand in [Demand::Off, Demand::Prune, Demand::Magic] {
+        for demand in [Demand::Off, Demand::Magic] {
             let session = CertaintySession::with_options(
                 NlBackend::Datalog,
                 EvalOptions::sequential().with_demand(demand),
@@ -214,7 +207,7 @@ fn certain_batch_bitmaps_are_identical_across_demand_modes_and_threads() {
     };
     let reference = bitmap(Demand::Off, 1);
     assert!(reference.iter().any(|&b| b != 0), "degenerate workload");
-    for demand in [Demand::Off, Demand::Prune, Demand::Magic] {
+    for demand in [Demand::Off, Demand::Magic] {
         for threads in [1usize, 2, 8] {
             assert_eq!(
                 bitmap(demand, threads),

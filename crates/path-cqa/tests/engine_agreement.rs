@@ -4,8 +4,7 @@
 //!
 //! Programs come from the shared level-by-level generator in
 //! `tests/common/mod.rs` (stratified and safe by construction); instances
-//! come from the seeded generators in `cqa_workloads::random`. The parallel
-//! engine is held to the same standard in `tests/parallel_agreement.rs`.
+//! come from the seeded generators in `cqa_workloads::random`.
 
 mod common;
 

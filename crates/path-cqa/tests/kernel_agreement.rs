@@ -7,7 +7,7 @@
 //! * **Full-store agreement** — on ≥ 200 random stratified program/instance
 //!   pairs, evaluation with kernels on and off produces the *same complete
 //!   store* (every predicate, not just a goal), identical to the scan-based
-//!   reference engine, at 1, 2 and 8 engine threads.
+//!   reference engine.
 //! * **Selection coverage** — the generated CQA programs live in the
 //!   unary/binary fragment, so compilation must select kernels for some rules
 //!   (`EvalStats::kernel_rules > 0`) and actually execute them
@@ -61,24 +61,21 @@ fn kernel_runs_agree_with_generic_and_reference_on_random_programs() {
             let compiled = CompiledProgram::compile(&program)
                 .unwrap_or_else(|e| panic!("compile failed: {e}\n{program}"));
             for kernels in [Kernels::Off, Kernels::On] {
-                for threads in [1usize, 2, 8] {
-                    let options = EvalOptions::with_threads(threads).with_kernels(kernels);
-                    let (store, stats) =
-                        compiled.run_on_store_with_stats(edb_from_instance(&db), &options);
-                    assert_eq!(
-                        store_set(&store),
-                        expected,
-                        "store under {kernels:?} at {threads} threads disagrees with the \
-                         reference (program seed {program_seed}, instance seed {instance_seed})\n\
-                         {program}"
-                    );
-                    match kernels {
-                        Kernels::Off => {
-                            assert_eq!(stats.kernel_rules, 0, "kernels off but rules attributed");
-                            assert_eq!(stats.kernel_invocations, 0, "kernels off but invoked");
-                        }
-                        _ => kernels_selected += stats.kernel_rules,
+                let options = EvalOptions::default().with_kernels(kernels);
+                let (store, stats) =
+                    compiled.run_on_store_with_stats(edb_from_instance(&db), &options);
+                assert_eq!(
+                    store_set(&store),
+                    expected,
+                    "store under {kernels:?} disagrees with the reference (program seed \
+                     {program_seed}, instance seed {instance_seed})\n{program}"
+                );
+                match kernels {
+                    Kernels::Off => {
+                        assert_eq!(stats.kernel_rules, 0, "kernels off but rules attributed");
+                        assert_eq!(stats.kernel_invocations, 0, "kernels off but invoked");
                     }
+                    _ => kernels_selected += stats.kernel_rules,
                 }
             }
             checked += 1;
@@ -158,7 +155,7 @@ fn certain_batch_bitmaps_are_identical_across_kernel_modes_and_threads() {
     assert!(reference.iter().any(|&b| b != 0), "degenerate workload");
     for kernels in [Kernels::Off, Kernels::On] {
         for threads in [1usize, 2, 8] {
-            for demand in [Demand::Off, Demand::Prune, Demand::Magic] {
+            for demand in [Demand::Off, Demand::Magic] {
                 assert_eq!(
                     bitmap(kernels, threads, demand),
                     reference,

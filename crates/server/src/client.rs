@@ -1,6 +1,7 @@
-//! A blocking client for the wire protocol — used by the loopback tests,
-//! the `server_throughput` bench driver and anything else that wants typed
-//! access to a running `cqa-serverd`.
+//! A blocking client for the wire protocol — used by the loopback tests and
+//! anything else that wants typed access to a running `cqa-serverd`.
+//! Serving throughput is measured by perfbench, whose `--trace 1` run also
+//! reports the span knob's cost as `obs.trace_overhead_pct`.
 
 use std::collections::BTreeMap;
 use std::fmt;

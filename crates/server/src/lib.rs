@@ -30,8 +30,9 @@
 //!   byte-identical to a fresh in-process
 //!   [`cqa_solver::dispatch::DispatchSolver`] — pinned by the loopback
 //!   integration tests.
-//! * [`client`] — a typed blocking client, used by the tests and the
-//!   `server_throughput` bench driver.
+//! * [`client`] — a typed blocking client, used by the tests. Serving
+//!   throughput and the trace-knob overhead (`obs.trace_overhead_pct`) are
+//!   measured by perfbench.
 //!
 //! The protocol spec and a "run the server" walkthrough live in this
 //! crate's `README.md`.

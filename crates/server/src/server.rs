@@ -8,8 +8,8 @@
 //! socket, parse one command, enqueue it and wait for its reply — so one
 //! slow tenant never wedges the listener. The `workers` threads park on a
 //! condvar, pop commands in arrival order and run the solver with
-//! *sequential* engine options; cross-request parallelism comes from having
-//! several workers, not from nesting thread scopes. Replies travel back on a
+//! `EvalOptions::sequential()` (no batch fan-out); cross-request parallelism
+//! comes from having several workers, not from nesting thread scopes. Replies travel back on a
 //! per-command channel, which keeps each connection's request/reply order
 //! trivially correct.
 //!
@@ -183,7 +183,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // One warm session serves every tenant: per-query artifacts
     // (classification, compiled CQA programs, automata) are shared
     // across tenants by construction — they depend only on the query.
-    // Engine runs stay sequential; parallelism is across commands.
+    // Batches stay on the worker thread; parallelism is across commands.
     let session = CertaintySession::with_options(NlBackend::Datalog, EvalOptions::sequential());
     let max_queue = config.max_queue.max(1);
     let metrics = ServerMetrics::new(max_queue, &session);

@@ -94,8 +94,9 @@ impl DispatchSolver {
     }
 
     /// Creates a dispatcher with an explicit NL back-end and evaluation
-    /// options (thread budget for engine rounds and batched submission).
-    /// `EvalOptions::sequential()` pins the exact single-threaded path.
+    /// options (demand, kernel, checkpoint and maintenance knobs, plus the
+    /// fan-out budget for batched submission). `EvalOptions::sequential()`
+    /// keeps batches on the calling thread.
     pub fn with_options(backend: NlBackend, options: EvalOptions) -> DispatchSolver {
         DispatchSolver {
             session: CertaintySession::with_options(backend, options),

@@ -186,7 +186,7 @@ impl NlSolver {
     }
 
     /// Creates a non-strict solver with explicit engine evaluation options
-    /// (thread count for the Datalog back-end's stratum rounds).
+    /// (demand, kernel, checkpoint and maintenance knobs).
     pub fn lenient_with_options(backend: NlBackend, options: EvalOptions) -> NlSolver {
         NlSolver {
             options,
@@ -287,19 +287,6 @@ impl NlSolver {
         plan: &NlPlan,
         db: &DatabaseInstance,
     ) -> Result<bool, SolverError> {
-        self.certain_prepared_with(plan, db, &self.options)
-    }
-
-    /// Like [`NlSolver::certain_prepared`], but with caller-supplied engine
-    /// options. The batched session driver uses this to force sequential
-    /// engine runs inside its own worker threads (one level of parallelism
-    /// at a time).
-    pub fn certain_prepared_with(
-        &self,
-        plan: &NlPlan,
-        db: &DatabaseInstance,
-        options: &EvalOptions,
-    ) -> Result<bool, SolverError> {
         match plan {
             NlPlan::Direct(dec) => {
                 self.stats
@@ -311,7 +298,7 @@ impl NlSolver {
                 self.stats
                     .decompositions_used
                     .fetch_add(1, Ordering::Relaxed);
-                let (answer, stats) = certain_datalog(cqa, db, options)?;
+                let (answer, stats) = certain_datalog(cqa, db, &self.options)?;
                 self.record_engine(cqa, &stats);
                 Ok(answer)
             }
@@ -398,10 +385,7 @@ impl NlSolver {
         let mut guard = entry.state.lock().expect("maintained slot lock");
         let force = !options.maintain.fallback_allowed();
         if let Some(state) = guard.as_mut() {
-            let mut stats = EvalStats {
-                threads: 1,
-                ..EvalStats::default()
-            };
+            let mut stats = EvalStats::default();
             match cqa_datalog::maintain::maintain(
                 &cqa.compiled,
                 state,

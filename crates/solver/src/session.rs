@@ -25,7 +25,7 @@ use cqa_automata::query_nfa::QueryNfa;
 use cqa_core::classify::{classify, Classification, ComplexityClass};
 use cqa_core::query::PathQuery;
 use cqa_core::word::Word;
-use cqa_datalog::parallel::{EvalOptions, Threads};
+use cqa_datalog::parallel::EvalOptions;
 use cqa_datalog::store::{edb_base_from_instance, BaseStore};
 use cqa_db::family::InstanceFamily;
 use cqa_db::instance::DatabaseInstance;
@@ -200,11 +200,10 @@ impl CertaintySession {
 
     /// Creates a session with an explicit back-end and evaluation options.
     ///
-    /// One `threads` knob controls both layers of parallelism, one level at
-    /// a time: [`CertaintySession::certain_batch`] fans whole requests out
-    /// across that many worker threads (each request then evaluated
-    /// sequentially), while single-request entry points pass the thread
-    /// budget down to the Datalog engine's stratum rounds instead.
+    /// The `threads` knob is the batch fan-out budget:
+    /// [`CertaintySession::certain_batch`] and the family batch entry points
+    /// spread whole requests across that many worker threads. Every engine
+    /// run is sequential.
     pub fn with_options(backend: NlBackend, options: EvalOptions) -> CertaintySession {
         CertaintySession {
             fo: FoSolver::unchecked(),
@@ -302,25 +301,13 @@ impl CertaintySession {
         plan: &QueryPlan,
         db: &DatabaseInstance,
     ) -> Result<bool, SolverError> {
-        self.certain_planned_with(plan, db, &self.options)
-    }
-
-    /// Decides one instance against a prepared plan with caller-supplied
-    /// engine options (the parallel batch path pins its workers to
-    /// sequential engine runs through this).
-    fn certain_planned_with(
-        &self,
-        plan: &QueryPlan,
-        db: &DatabaseInstance,
-        options: &EvalOptions,
-    ) -> Result<bool, SolverError> {
         self.route_slot(plan.route).fetch_add(1, Ordering::Relaxed);
         let timer = cqa_obs::Stopwatch::start();
         let answer = match plan.route {
             Route::FoRewriting => Ok(self.fo.evaluate_rewriting(&plan.query, db)),
             Route::Nl(_) => {
                 let nl = plan.nl.as_ref().expect("NL route carries an NL plan");
-                self.nl.certain_prepared_with(nl, db, options)
+                self.nl.certain_prepared(nl, db)
             }
             Route::PtimeFixpoint => {
                 let nfa = plan.nfa.as_ref().expect("fixpoint route carries an NFA");
@@ -342,9 +329,9 @@ impl CertaintySession {
     /// across scoped worker threads: plans are prepared once on the
     /// coordinator (every [`crate::dispatch::Route`]'s artifacts are `Sync`,
     /// so workers share them by reference), each worker decides a contiguous
-    /// slice of the requests with *sequential* engine runs, and results land
-    /// in preassigned slots — request order, and therefore the answer
-    /// bitmap, is identical at every thread count.
+    /// slice of the requests, and results land in preassigned slots —
+    /// request order, and therefore the answer bitmap, is identical at every
+    /// thread count.
     pub fn certain_batch(
         &self,
         requests: &[(PathQuery, DatabaseInstance)],
@@ -391,14 +378,8 @@ impl CertaintySession {
             })
             .collect();
 
-        // Workers run each request's engine sequentially: batch-level
-        // parallelism already saturates the budget, and nested scopes would
-        // oversubscribe. Every other option (demand, kernels, checkpoint)
-        // rides along unchanged — pinning the thread count must not reset
-        // the session's engine configuration.
-        let per_request = self.per_request_options();
         fan_out(requests.len(), threads, |i| {
-            self.certain_planned_with(&plans[i], &requests[i].1, &per_request)
+            self.certain_planned(&plans[i], &requests[i].1)
         })
     }
 
@@ -417,8 +398,7 @@ impl CertaintySession {
     /// per request, exactly like the fresh-load path.
     ///
     /// With a resolved thread budget above one, requests fan out across
-    /// scoped worker threads into preassigned result slots (engine runs
-    /// pinned sequential, one level of parallelism at a time), sharing the
+    /// scoped worker threads into preassigned result slots, sharing the
     /// frozen base by reference.
     pub fn certain_batch_family(
         &self,
@@ -510,23 +490,11 @@ impl CertaintySession {
         if threads <= 1 {
             return requests
                 .iter()
-                .map(|&i| {
-                    self.certain_family_request(
-                        plan,
-                        base,
-                        family,
-                        &deltas[i],
-                        i,
-                        &self.options,
-                        derived,
-                    )
-                })
+                .map(|&i| self.certain_family_request(plan, base, family, &deltas[i], i, derived))
                 .collect();
         }
         // Scoped fan-out with preassigned slots, exactly like
-        // `certain_batch_parallel` (workers pin their engine runs
-        // sequential — one level of parallelism at a time).
-        let per_request = self.per_request_options();
+        // `certain_batch_parallel`.
         fan_out(requests.len(), threads, |slot| {
             self.certain_family_request(
                 plan,
@@ -534,7 +502,6 @@ impl CertaintySession {
                 family,
                 &deltas[requests[slot]],
                 requests[slot],
-                &per_request,
                 derived,
             )
         })
@@ -548,7 +515,6 @@ impl CertaintySession {
     /// and derive nothing). `slot` is the request's stable index within the
     /// family (its delta position), which keys the base's differentially
     /// maintained materialized IDB when the maintenance knob is on.
-    #[allow(clippy::too_many_arguments)]
     fn certain_family_request(
         &self,
         plan: &QueryPlan,
@@ -556,7 +522,6 @@ impl CertaintySession {
         family: &InstanceFamily,
         delta: &DatabaseInstance,
         slot: usize,
-        options: &EvalOptions,
         derived: Option<&AtomicU64>,
     ) -> Result<bool, SolverError> {
         match (base, &plan.nl) {
@@ -569,7 +534,7 @@ impl CertaintySession {
                     family.prefix(),
                     delta,
                     slot,
-                    options,
+                    &self.options,
                 )?;
                 if let Some(counter) = derived {
                     counter.fetch_add(stats.tuples_derived, Ordering::Relaxed);
@@ -579,18 +544,8 @@ impl CertaintySession {
             }
             _ => {
                 let full = family.prefix().union(delta);
-                self.certain_planned_with(plan, &full, options)
+                self.certain_planned(plan, &full)
             }
-        }
-    }
-
-    /// The session's options with the engine pinned sequential — what each
-    /// fan-out worker evaluates with (batch-level parallelism already
-    /// saturates the thread budget; demand/kernels/checkpoint are preserved).
-    fn per_request_options(&self) -> EvalOptions {
-        EvalOptions {
-            threads: Threads::Fixed(1),
-            ..self.options
         }
     }
 

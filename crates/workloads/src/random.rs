@@ -230,8 +230,8 @@ pub struct TenantRequest {
 /// drawn uniformly from `words`. `skew = 0.0` is uniform across tenants;
 /// larger skews concentrate traffic on the low-numbered (hot) tenants,
 /// which is what makes LRU residency caches earn their keep. This is the
-/// input shape `cqa-server`'s dispatch loop serves, and what the
-/// `server_throughput` bench and the loopback load driver replay.
+/// input shape `cqa-server`'s dispatch loop serves, and what the loopback
+/// load driver replays.
 pub fn tenant_request_stream(
     tenants: usize,
     words: &[&str],

@@ -4,29 +4,21 @@
 # the `datalog_engine` (scan vs indexed before/after, plus warm-plan runs),
 # `nl_vs_ptime`, `certainty_scaling`, `session_batch` (warm sessions vs
 # cold per-call dispatch, including a 4-thread batch fan-out),
-# `datalog_parallel` (stratum evaluation at 1/2/4/8 worker threads),
 # `session_cow` (copy-on-write shared-prefix families vs fresh-load,
-# store-build amortization isolated), `server_throughput` (live loopback
-# cqa-server vs direct in-process session calls on the same multi-tenant
-# stream — the wire/dispatch overhead), `demand_transform` (demand-driven
-# derivation off vs prune vs magic on goal-sparse, route-level and family
+# store-build amortization isolated), `demand_transform` (demand-driven
+# derivation off vs magic on goal-sparse, route-level and family
 # workloads), `binary_kernels` (shape-specialized kernels off vs on over
-# tc chains, the warm RRX route and shared-prefix family batches),
+# tc chains, the warm RRX route and shared-prefix family batches) and
 # `incremental` (checkpointed base derivation vs from-scratch on warm
-# resident-family batches and live mutate-requery loops) and
-# `server_saturation` (4 client threads racing the bounded work queue with
-# a mixed QUERY/APPEND stream; prints the METRICS queue-wait vs
-# service-time split and asserts the exposition's required families)
-# suites. `server_throughput` carries the trace-knob overhead pair:
-# `loopback_server` runs with PATH_CQA_TRACE off (always-on recorder only
-# — its ratio against the checked-in baseline is the instrumentation
-# overhead, budget <2%) and `loopback_trace_on` with spans on (the ratio
-# between the two arms is the trace-knob cost).
+# resident-family batches and live mutate-requery loops) suites. End-to-end
+# serving throughput, queue-wait vs service time and the trace-knob
+# overhead (`obs.trace_overhead_pct`) are measured by perfbench instead
+# (see BENCHMARK.json).
 # Before overwriting BENCH_datalog.json, fresh medians are diffed against the
 # checked-in baseline with per-entry ratios, so regressions are visible in
 # the run's own output instead of only in the git diff.
-# Future PRs re-run this script to extend the perf trajectory; thread-scaling
-# entries are only comparable against same-host baselines.
+# Future PRs re-run this script to extend the perf trajectory; the 4-thread
+# batch fan-out entries are only comparable against same-host baselines.
 #
 # Usage: scripts/bench_datalog.sh
 # Knobs: CQA_BENCH_TARGET_MS (per-benchmark budget, default 300),
@@ -48,12 +40,9 @@ CQA_BENCH_JSON="$jsonl" cargo bench -p cqa-bench \
     --bench certainty_scaling \
     --bench session_batch \
     --bench session_cow \
-    --bench parallel_scaling \
-    --bench server_throughput \
     --bench demand_transform \
     --bench binary_kernels \
-    --bench incremental \
-    --bench server_saturation
+    --bench incremental
 
 # Per-entry ratio diff against the checked-in baseline (fresh/baseline: < 1
 # is faster, > 1 slower). New entries print "(new)"; nothing fails here —
